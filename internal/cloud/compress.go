@@ -1,3 +1,9 @@
+// Package cloud models the offline half of Fig. 1 to the extent the
+// on-vehicle system interacts with it: payload compression for the hourly
+// field-data upload, and the cost of the RPR-swapped FPGA compression
+// engine that performs it. Fleet telemetry storage lives in
+// internal/telemetry, which uses this package's Compress/Decompress for
+// its sorted-run blocks.
 package cloud
 
 import (

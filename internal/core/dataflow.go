@@ -8,7 +8,6 @@ import (
 	"sov/internal/detect"
 	"sov/internal/fusion"
 	"sov/internal/mathx"
-	"sov/internal/parallel"
 	"sov/internal/pipeline"
 	"sov/internal/planning"
 	"sov/internal/rpr"
@@ -275,18 +274,13 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 }
 
 // perceiveFrame runs the perception stage on a captured frame: camera
-// detection and radar-track maintenance (concurrent kernels when workers
-// allow), then spatial synchronization into the fused object list.
+// detection, then radar-track maintenance, then spatial synchronization
+// into the fused object list. Detection and tracking are the cheapest
+// stages of the cycle, so they run serially: a fork-join around them costs
+// more than the work it would overlap.
 func (s *SoV) perceiveFrame(fr *cycleFrame) {
-	if parallel.Workers() <= 1 {
-		s.perceiveDetect(fr)
-		s.perceiveTrack(fr)
-	} else {
-		parallel.Do(
-			func() { s.perceiveDetect(fr) },
-			func() { s.perceiveTrack(fr) },
-		)
-	}
+	s.perceiveDetect(fr)
+	s.perceiveTrack(fr)
 	fr.fused = fr.fused[:0]
 	if s.cfg.RadarTracking {
 		matches, ud, _ := fr.sync.SpatialSyncInto(fusion.DefaultSpatialSyncConfig(), fr.dets, fr.tracks)

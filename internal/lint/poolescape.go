@@ -2,14 +2,14 @@ package lint
 
 // poolescape: pooled buffers have exactly one owner between Get and Put.
 //
-// The scratch pools in internal/parallel and internal/pipeline are what
+// The scratch pools (parallel.SlicePool, pipeline.FramePool) are what
 // keep the steady-state cycle allocation-free, and their contract
 // (parallel/pool.go) is strict: whoever Gets a buffer owns it until Put,
 // and Put surrenders it. PR 7's fleet-scale work hit the failure mode this
 // analyzer now rejects at review time — a borrowed buffer aliased into
 // longer-lived state, so two owners raced on one backing array.
 //
-// Tracked values come from the pool Get functions (parallel.GetF64 & co.,
+// Tracked values come from the pool Get functions (parallel's
 // SlicePool.Get, pipeline's FramePool.Get), from module functions whose
 // bottom-up summary says they return a still-borrowed buffer (poolFact.
 // returnsPooled — the documented "caller must release" idiom, e.g. the KCF
@@ -54,12 +54,6 @@ var PoolEscape = &Analyzer{
 // poolGets maps qualified names of buffer-lending functions to the display
 // name used in findings. The result of any of these is an owned borrow.
 var poolGets = map[string]string{
-	"sov/internal/parallel.GetF64":        "parallel.GetF64",
-	"sov/internal/parallel.GetF32":        "parallel.GetF32",
-	"sov/internal/parallel.GetC128":       "parallel.GetC128",
-	"sov/internal/parallel.GetI32":        "parallel.GetI32",
-	"sov/internal/parallel.GetU64":        "parallel.GetU64",
-	"sov/internal/parallel.GetIntsZeroed": "parallel.GetIntsZeroed",
 	"sov/internal/parallel.SlicePool.Get": "SlicePool.Get",
 	"sov/internal/pipeline.FramePool.Get": "FramePool.Get",
 }
@@ -67,12 +61,6 @@ var poolGets = map[string]string{
 // poolPuts maps qualified names of release functions to their display name.
 // The released buffer is the first argument.
 var poolPuts = map[string]string{
-	"sov/internal/parallel.PutF64":        "parallel.PutF64",
-	"sov/internal/parallel.PutF32":        "parallel.PutF32",
-	"sov/internal/parallel.PutC128":       "parallel.PutC128",
-	"sov/internal/parallel.PutI32":        "parallel.PutI32",
-	"sov/internal/parallel.PutU64":        "parallel.PutU64",
-	"sov/internal/parallel.PutInts":       "parallel.PutInts",
 	"sov/internal/parallel.SlicePool.Put": "SlicePool.Put",
 	"sov/internal/pipeline.FramePool.Put": "FramePool.Put",
 }
@@ -580,7 +568,7 @@ func (w *poolWalker) walkStmt(s ast.Stmt, blockEnd token.Pos) {
 			w.scanExpr(r, blockEnd)
 			v, st := w.trackedIdent(r)
 			if v == nil {
-				// A direct `return GetF64(n)` / `return pooledHelper()` is
+				// A direct `return pool.Get(n)` / `return pooledHelper()` is
 				// the ownership-transfer idiom with no intermediate local.
 				if rst := w.sourceOf(r); rst.origin != "" && !rst.borrowed && !w.fact.returnsPooled {
 					w.fact.returnsPooled = true

@@ -50,7 +50,7 @@ type poolFact struct {
 	// returnsPooled: a return value is a still-borrowed pooled buffer (the
 	// legal ownership-transfer idiom: "caller must release").
 	returnsPooled bool
-	// poolNote names the pool origin, e.g. "parallel.GetC128".
+	// poolNote names the pool origin, e.g. "SlicePool.Get".
 	poolNote string
 	// putsParam bit i: the function releases parameter i back to its pool.
 	putsParam uint64

@@ -11,52 +11,56 @@ type holder struct {
 
 var global []float64
 
+// scratch is the fixture's package-level pool, declared the way every
+// kernel package declares its own.
+var scratch parallel.SlicePool[float64]
+
 // fieldStore parks a borrowed buffer in state reachable from a parameter —
 // the exact aliasing bug the fleet arena work hit.
 func fieldStore(h *holder, n int) {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	h.stash = buf // want: stored into field h.stash
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 }
 
 // globalStore parks the borrow in a package-level variable.
 func globalStore(n int) {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	global = buf // want: stored into package-level var
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 }
 
 // chanSend hands the borrow to another goroutine over a channel.
 func chanSend(ch chan []float64, n int) {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	ch <- buf // want: sent on a channel
 }
 
 // goCapture leaks the borrow into a spawned goroutine's closure.
 func goCapture(n int) {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	go func() { buf[0] = 1 }() // want: captured by a spawned goroutine
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 }
 
 // useAfterPut touches the buffer after surrendering it.
 func useAfterPut(n int) float64 {
-	buf := parallel.GetF64(n)
-	parallel.PutF64(buf)
+	buf := scratch.Get(n)
+	scratch.Put(buf)
 	return buf[0] // want: used after release
 }
 
 // doublePut releases the same borrow twice.
 func doublePut(n int) {
-	buf := parallel.GetF64(n)
-	parallel.PutF64(buf)
-	parallel.PutF64(buf) // want: released twice
+	buf := scratch.Get(n)
+	scratch.Put(buf)
+	scratch.Put(buf) // want: released twice
 }
 
 // returnPastDefer returns a buffer its own deferred Put already released.
 func returnPastDefer(n int) []float64 {
-	buf := parallel.GetF64(n)
-	defer parallel.PutF64(buf)
+	buf := scratch.Get(n)
+	defer scratch.Put(buf)
 	return buf // want: returned past deferred release
 }
 
@@ -69,15 +73,15 @@ func park(h *holder, b []float64) {
 // escapeViaCallee hands the borrow to a summarized module function that
 // stores it — the interprocedural escape.
 func escapeViaCallee(h *holder, n int) {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	park(h, buf) // want: passed to park, which stores it
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 }
 
 // rent transfers ownership out to the caller — the legal "caller must
 // release" idiom, recorded as a returnsPooled summary, not a finding.
 func rent(n int) []float64 {
-	return parallel.GetF64(n)
+	return scratch.Get(n)
 }
 
 // disciplined is the clean life cycle: borrow through a helper, fan out
@@ -93,19 +97,19 @@ func disciplined(n int) float64 {
 	for _, v := range buf {
 		s += v
 	}
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 	return s
 }
 
 // conditionalRelease releases early on one branch only; the success path
 // below must not be poisoned by that block-scoped Put.
 func conditionalRelease(n int, bad bool) float64 {
-	buf := parallel.GetF64(n)
+	buf := scratch.Get(n)
 	if bad {
-		parallel.PutF64(buf)
+		scratch.Put(buf)
 		return 0
 	}
 	v := buf[0]
-	parallel.PutF64(buf)
+	scratch.Put(buf)
 	return v
 }

@@ -8,6 +8,9 @@ import (
 	"sov/internal/parallel"
 )
 
+// colPool recycles the per-tile column gather buffers of FFT2D.
+var colPool parallel.SlicePool[complex128]
+
 // FFT computes the in-place radix-2 Cooley–Tukey FFT of x. len(x) must be a
 // power of two. Set inverse to compute the (scaled) inverse transform.
 func FFT(x []complex128, inverse bool) error {
@@ -81,7 +84,7 @@ func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 	})
 	// Columns (gather/scatter through a per-tile scratch buffer).
 	parallel.For(cols, 1+4096/rows, func(c0, c1 int) {
-		col := parallel.GetC128(rows)
+		col := colPool.Get(rows)
 		for c := c0; c < c1; c++ {
 			for r := 0; r < rows; r++ {
 				col[r] = x[r*cols+c]
@@ -91,7 +94,7 @@ func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 				x[r*cols+c] = col[r]
 			}
 		}
-		parallel.PutC128(col)
+		colPool.Put(col)
 	})
 	return nil
 }

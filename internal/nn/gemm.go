@@ -2,6 +2,14 @@ package nn
 
 import "sov/internal/parallel"
 
+// Per-tile scratch of the parallel int8 kernels: laneWords holds packed
+// SWAR lane words (GEMM A panels, QFC input rows), accRows the int32
+// column-sum and accumulator rows.
+var (
+	laneWords parallel.SlicePool[uint64]
+	accRows   parallel.SlicePool[int32]
+)
+
 // im2col + register-blocked integer GEMM backend for QConv2D (DESIGN.md
 // §10). The convolution reshapes into C[OutC × P] = W[OutC × kd] · A[kd × P]
 // with kd = InC·K·K and P = OH·OW output pixels. Weight panels (B) pack once
@@ -119,13 +127,13 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(nblk, 1, func(b0, b1 int) {
-		ap := parallel.GetU64(apn)
-		su := parallel.GetI32(gemmColBlock)
+		ap := laneWords.Get(apn)
+		su := accRows.Get(gemmColBlock)
 		for blk := b0; blk < b1; blk++ {
 			c.gemmBlock(out, in.H, in.W, ow, p, blk*gemmColBlock, ap, su)
 		}
-		parallel.PutI32(su)
-		parallel.PutU64(ap)
+		accRows.Put(su)
+		laneWords.Put(ap)
 	})
 }
 

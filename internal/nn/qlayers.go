@@ -157,11 +157,11 @@ func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(oc, 1, func(o0, o1 int) {
 		oxLo, oxHi := c.interior(in.W, ow)
-		acc := parallel.GetI32(oxHi - oxLo)
+		acc := accRows.Get(oxHi - oxLo)
 		for o := o0; o < o1; o++ {
 			c.forwardChannel(in, out, o, oh, ow, swar, acc)
 		}
-		parallel.PutI32(acc)
+		accRows.Put(acc)
 	})
 }
 
@@ -562,7 +562,7 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 		f.swarTail(xp, sumU, 4*quads, out.Data)
 		return
 	}
-	xp := parallel.GetU64(f.np)
+	xp := laneWords.Get(f.np)
 	sumU := packPairsInto(xp, in.Data)
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(quads, 4, func(q0, q1 int) {
@@ -571,7 +571,7 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 		}
 	})
 	f.swarTail(xp, sumU, 4*quads, out.Data)
-	parallel.PutU64(xp)
+	laneWords.Put(xp)
 }
 
 // swarTail finishes the ≤3 output rows left over by the quad sweep.

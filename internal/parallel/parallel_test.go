@@ -159,38 +159,36 @@ func TestEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestScratchPools(t *testing.T) {
-	f := GetF64(100)
-	if len(f) != 100 {
-		t.Fatalf("GetF64 len %d", len(f))
+	var fp SlicePool[float64]
+	f := fp.Get(100)
+	if len(f) != 100 || cap(f) != 128 {
+		t.Fatalf("Get(100) len %d cap %d, want 100/128", len(f), cap(f))
 	}
-	PutF64(f)
-	g := GetF32(33)
-	if len(g) != 33 {
-		t.Fatalf("GetF32 len %d", len(g))
-	}
-	PutF32(g)
-	z := GetC128(8)
-	if len(z) != 8 {
-		t.Fatalf("GetC128 len %d", len(z))
-	}
-	PutC128(z)
-	in := GetIntsZeroed(57)
+	fp.Put(f)
+	// Contents are unspecified: a reused buffer comes back dirty, so
+	// counter accumulators (the ICP reuse counts) clear after Get.
+	var ip SlicePool[int]
+	in := ip.Get(57)
 	for i := range in {
 		in[i] = i + 1
 	}
-	PutInts(in)
-	in2 := GetIntsZeroed(57)
+	ip.Put(in)
+	in2 := ip.Get(57)
+	if &in2[0] != &in[0] {
+		t.Fatal("Get after Put did not reuse the released buffer")
+	}
+	clear(in2)
 	for i, v := range in2 {
 		if v != 0 {
-			t.Fatalf("GetIntsZeroed[%d] = %d after reuse", i, v)
+			t.Fatalf("cleared reused buffer [%d] = %d", i, v)
 		}
 	}
-	PutInts(in2)
+	ip.Put(in2)
 	// Zero-length gets are nil and Puts of them are no-ops.
-	if GetF64(0) != nil {
-		t.Fatal("GetF64(0) != nil")
+	if fp.Get(0) != nil {
+		t.Fatal("Get(0) != nil")
 	}
-	PutF64(nil)
+	fp.Put(nil)
 }
 
 func BenchmarkForOverhead(b *testing.B) {

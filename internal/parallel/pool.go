@@ -6,27 +6,32 @@ import (
 )
 
 // Scratch-buffer pools. Hot kernels (SGM scanline aggregation, stereo cost
-// vectors, FFT column gathers, KCF spectra, ICP reuse counters) borrow
-// per-tile scratch here instead of allocating per call. Buffers are
-// size-classed by power of two; Get returns a slice of the requested
-// length whose contents are unspecified — callers must overwrite before
-// reading (or use the Zeroed variants).
+// vectors, FFT column gathers, KCF spectra, ICP reuse counters, NN
+// activations) borrow scratch from a SlicePool instead of allocating per
+// call. Each calling package declares its own pool per element type, e.g.
 //
-// Cross-vehicle sharing (fleet audit, DESIGN.md §11). These pools are
+//	var costPool parallel.SlicePool[int32]
+//
+// Buffers are size-classed by power of two; Get returns a slice of the
+// requested length whose contents are unspecified — callers must overwrite
+// (or clear) before reading.
+//
+// Cross-vehicle sharing (fleet audit, DESIGN.md §11). A package's pool is
 // process-global: in a fleet run every vehicle's kernels draw from the
-// same free lists, concurrently. That is safe under one ownership rule —
-// between Get and the matching Put a buffer has exactly one owner, and
-// Put surrenders it: the caller must hold no alias past Put (no stashing
-// a sub-slice in longer-lived state). Every repo call site follows the
-// paired get/defer-put or get/use/put-in-same-frame shape; nothing
-// retains pooled memory across a frame boundary. The floor-class rule in
-// Put (a non-power-of-two cap files under the next class down) can only
-// shrink the capacity a future Get sees, never splice two live buffers
-// together, so aliasing can arise from a double Put alone — which the
-// ownership rule forbids. TestPoolNoCrossOwnerAliasing churns the pools
-// from many goroutines with per-owner tags (and the fleet's 64-vehicle
-// -race test exercises the same property end to end through the full
-// perception stack).
+// same free lists, concurrently. That is safe under one ownership rule,
+// which every package's pool inherits — between Get and the matching Put a
+// buffer has exactly one owner, and Put surrenders it: the caller must
+// hold no alias past Put (no stashing a sub-slice in longer-lived state).
+// Every repo call site follows the paired get/defer-put or
+// get/use/put-in-same-frame shape; nothing retains pooled memory across a
+// frame boundary, and sovlint's poolescape analyzer rejects the shapes
+// that would. The floor-class rule in Put (a non-power-of-two cap files
+// under the next class down) can only shrink the capacity a future Get
+// sees, never splice two live buffers together, so aliasing can arise from
+// a double Put alone — which the ownership rule forbids.
+// TestPoolNoCrossOwnerAliasing churns pools from many goroutines with
+// per-owner tags (and the fleet's 64-vehicle -race test exercises the same
+// property end to end through the full perception stack).
 
 const poolClasses = 31
 
@@ -37,108 +42,13 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-type f64Pools struct{ classes [poolClasses]sync.Pool }
-
-var f64pool f64Pools
-
-// GetF64 returns a float64 scratch slice of length n (contents unspecified).
-func GetF64(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := f64pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]float64)))[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// PutF64 returns a slice obtained from GetF64 to its pool.
-func PutF64(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c-- // cap is not a power of two: file under the floor class
-	}
-	full := s[:cap(s)]
-	f64pool.classes[c].Put(&full)
-}
-
-type f32Pools struct{ classes [poolClasses]sync.Pool }
-
-var f32pool f32Pools
-
-// GetF32 returns a float32 scratch slice of length n (contents unspecified).
-func GetF32(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := f32pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]float32)))[:n]
-	}
-	return make([]float32, n, 1<<c)
-}
-
-// PutF32 returns a slice obtained from GetF32 to its pool.
-func PutF32(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	f32pool.classes[c].Put(&full)
-}
-
-type c128Pools struct{ classes [poolClasses]sync.Pool }
-
-var c128pool c128Pools
-
-// GetC128 returns a complex128 scratch slice of length n (contents
-// unspecified).
-func GetC128(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := c128pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]complex128)))[:n]
-	}
-	return make([]complex128, n, 1<<c)
-}
-
-// PutC128 returns a slice obtained from GetC128 to its pool.
-func PutC128(s []complex128) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	c128pool.classes[c].Put(&full)
-}
-
-// SlicePool is a size-classed free list for frame-rate scratch slices (NN
-// activation tensors, ICP correspondence buffers, fused-object lists). The
-// sync.Pool-backed Get*/Put* helpers above are the right tool for per-tile
-// scratch inside a parallel kernel — contention-free, GC-aware — but their
-// Put boxes the slice header, costing one small allocation per call. A
-// SlicePool trades a mutex for a true zero-allocation steady state: Get pops
-// a free slice and Put pushes it back with no boxing, so a control loop that
-// borrows a few buffers per frame allocates nothing once warm. Returned
-// slices have the requested length and unspecified contents.
+// SlicePool is a size-classed free list of scratch slices. Get pops a free
+// slice and Put pushes it back without boxing the slice header, so a loop
+// that borrows a few buffers per call allocates nothing once warm. The
+// zero value is ready to use.
 type SlicePool[T any] struct {
 	mu      sync.Mutex
 	classes [poolClasses][][]T
-	hits    int64
-	misses  int64
 }
 
 // Get returns a slice of length n (contents unspecified, capacity the
@@ -153,11 +63,9 @@ func (p *SlicePool[T]) Get(n int) []T {
 		s := free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
-		p.hits++
 		p.mu.Unlock()
 		return s[:n]
 	}
-	p.misses++
 	p.mu.Unlock()
 	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
 	return make([]T, n, 1<<c)
@@ -175,109 +83,4 @@ func (p *SlicePool[T]) Put(s []T) {
 	p.mu.Lock()
 	p.classes[c] = append(p.classes[c], s[:cap(s)])
 	p.mu.Unlock()
-}
-
-// Stats reports reuse hits and construction misses since creation.
-func (p *SlicePool[T]) Stats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
-
-type i32Pools struct{ classes [poolClasses]sync.Pool }
-
-var i32pool i32Pools
-
-// GetI32 returns an int32 scratch slice of length n (contents unspecified) —
-// the cost vectors of the fixed-point stereo kernels.
-func GetI32(n int) []int32 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := i32pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]int32)))[:n]
-	}
-	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
-	return make([]int32, n, 1<<c)
-}
-
-// PutI32 returns a slice obtained from GetI32 to its pool.
-func PutI32(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	//sovlint:ignore hotalloc sync.Pool boxing of the slice header; bytes are recycled, header churn is accepted
-	i32pool.classes[c].Put(&full)
-}
-
-type u64Pools struct{ classes [poolClasses]sync.Pool }
-
-var u64pool u64Pools
-
-// GetU64 returns a uint64 scratch slice of length n (contents unspecified) —
-// the packed SWAR lane words of the second-generation int8 kernels.
-func GetU64(n int) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := u64pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]uint64)))[:n]
-	}
-	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
-	return make([]uint64, n, 1<<c)
-}
-
-// PutU64 returns a slice obtained from GetU64 to its pool.
-func PutU64(s []uint64) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	//sovlint:ignore hotalloc sync.Pool boxing of the slice header; bytes are recycled, header churn is accepted
-	u64pool.classes[c].Put(&full)
-}
-
-type intPools struct{ classes [poolClasses]sync.Pool }
-
-var intpool intPools
-
-// GetIntsZeroed returns an int scratch slice of length n with every element
-// zero — the per-tile counter accumulators (e.g. kd-tree reuse counts).
-func GetIntsZeroed(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := intpool.classes[c].Get(); v != nil {
-		s := (*(v.(*[]int)))[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make([]int, n, 1<<c)
-}
-
-// PutInts returns a slice obtained from GetIntsZeroed to its pool.
-func PutInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	intpool.classes[c].Put(&full)
 }

@@ -6,15 +6,22 @@ import (
 )
 
 // TestPoolNoCrossOwnerAliasing is the fleet-era pool hygiene regression
-// test: many concurrent owners churn the global size-classed pools, each
+// test: many concurrent owners churn shared size-classed pools, each
 // stamping a unique tag over its whole buffer and verifying the stamp
-// survives until Put. If the pools ever handed one buffer to two live
-// owners (double Put, size-class splice, racing free list), a foreign tag
-// shows up — and under -race the write collision trips the detector too.
+// survives until Put. If a pool ever handed one buffer to two live owners
+// (double Put, size-class splice, racing free list), a foreign tag shows
+// up — and under -race the write collision trips the detector too.
 func TestPoolNoCrossOwnerAliasing(t *testing.T) {
 	const (
 		owners = 16
 		rounds = 200
+	)
+	var (
+		f64Pool  SlicePool[float64]
+		f32Pool  SlicePool[float32]
+		i32Pool  SlicePool[int32]
+		u64Pool  SlicePool[uint64]
+		intsPool SlicePool[int]
 	)
 	sizes := []int{1, 7, 64, 100, 1000, 4096}
 	var wg sync.WaitGroup
@@ -25,18 +32,19 @@ func TestPoolNoCrossOwnerAliasing(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				n := sizes[(tag+r)%len(sizes)]
-				f64 := GetF64(n)
-				f32 := GetF32(n)
-				i32 := GetI32(n)
-				u64 := GetU64(n)
-				ints := GetIntsZeroed(n)
+				f64 := f64Pool.Get(n)
+				f32 := f32Pool.Get(n)
+				i32 := i32Pool.Get(n)
+				u64 := u64Pool.Get(n)
+				ints := intsPool.Get(n)
+				clear(ints)
 				for i := 0; i < n; i++ {
 					f64[i] = float64(tag)
 					f32[i] = float32(tag)
 					i32[i] = int32(tag)
 					u64[i] = uint64(tag)
 					if ints[i] != 0 {
-						errs <- "GetIntsZeroed returned a dirty buffer"
+						errs <- "cleared pool buffer turned dirty while owned"
 						return
 					}
 					ints[i] = tag
@@ -48,11 +56,11 @@ func TestPoolNoCrossOwnerAliasing(t *testing.T) {
 						return
 					}
 				}
-				PutF64(f64)
-				PutF32(f32)
-				PutI32(i32)
-				PutU64(u64)
-				PutInts(ints)
+				f64Pool.Put(f64)
+				f32Pool.Put(f32)
+				i32Pool.Put(i32)
+				u64Pool.Put(u64)
+				intsPool.Put(ints)
 			}
 		}(o + 1)
 	}
@@ -68,19 +76,20 @@ func TestPoolNoCrossOwnerAliasing(t *testing.T) {
 // filed under the class whose buffers it can fully satisfy, so a future
 // Get never receives a slice shorter than it asked for.
 func TestPoolFloorClassCapacity(t *testing.T) {
+	var p SlicePool[float64]
 	s := make([]float64, 100) // cap 100: between classes 6 (64) and 7 (128)
-	PutF64(s)
+	p.Put(s)
 	for i := 0; i < 8; i++ {
-		got := GetF64(100)
+		got := p.Get(100)
 		if len(got) != 100 {
-			t.Fatalf("GetF64(100) returned len %d", len(got))
+			t.Fatalf("Get(100) returned len %d", len(got))
 		}
-		PutF64(got)
+		p.Put(got)
 	}
 	// Class 6 requests must also be satisfiable by the odd-capacity buffer.
-	got := GetF64(64)
+	got := p.Get(64)
 	if len(got) != 64 {
-		t.Fatalf("GetF64(64) returned len %d", len(got))
+		t.Fatalf("Get(64) returned len %d", len(got))
 	}
-	PutF64(got)
+	p.Put(got)
 }

@@ -33,6 +33,10 @@ const icpGrain = 256
 // a warm localization loop allocates nothing for matches.
 var matchPool parallel.SlicePool[icpMatch]
 
+// reusePool recycles the per-tile kd-tree reuse counters; callers clear
+// them after Get, since pooled contents are unspecified.
+var reusePool parallel.SlicePool[int]
+
 // icpMatchOne matches one source point against the target tree and appends
 // the accepted correspondence to out. It is a plain function (not a closure
 // over the iteration state) so the serial path stays allocation-free.
@@ -71,7 +75,8 @@ func collectMatches(tree *KDTree, src *Cloud, tr Tracker, subsample int, yaw flo
 	buckets := make([][]icpMatch, parallel.Tiles(m, icpGrain))
 	var mu sync.Mutex
 	parallel.ForTiled(m, icpGrain, func(tile, k0, k1 int) {
-		reuse := parallel.GetIntsZeroed(tree.cloud.Len())
+		reuse := reusePool.Get(tree.cloud.Len())
+		clear(reuse)
 		out := make([]icpMatch, 0, k1-k0)
 		for k := k0; k < k1; k++ {
 			out = icpMatchOne(tree, src, tr, k*subsample, s, c, trans, reuse, out)
@@ -84,7 +89,7 @@ func collectMatches(tree *KDTree, src *Cloud, tr Tracker, subsample int, yaw flo
 			}
 		}
 		mu.Unlock()
-		parallel.PutInts(reuse)
+		reusePool.Put(reuse)
 	})
 	matches := matchPool.Get(m)[:0]
 	for _, b := range buckets {
@@ -398,7 +403,8 @@ func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
 	}
 	var mu sync.Mutex
 	parallel.For(n, icpGrain, func(i0, i1 int) {
-		reuse := parallel.GetIntsZeroed(tree.cloud.Len())
+		reuse := reusePool.Get(tree.cloud.Len())
+		clear(reuse)
 		for i := i0; i < i1; i++ {
 			one(i, reuse)
 		}
@@ -409,7 +415,7 @@ func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
 			}
 		}
 		mu.Unlock()
-		parallel.PutInts(reuse)
+		reusePool.Put(reuse)
 	})
 	return out
 }

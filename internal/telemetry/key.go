@@ -45,8 +45,8 @@ const (
 	KindBlackbox
 	// KindMetric is a metrics-registry snapshot blob.
 	KindMetric
-	// KindLog is one condensed operational-log line (per-cycle trace or
-	// cloud.LogEntry style records).
+	// KindLog is one condensed operational-log line (per-cycle trace
+	// records).
 	KindLog
 
 	numKinds

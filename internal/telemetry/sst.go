@@ -251,6 +251,13 @@ func openRun(path string, meta runMeta) (*run, error) {
 	maxKey := decodeKey(footer[32+KeySize : 32+2*KeySize])
 	wantCRC := binary.LittleEndian.Uint32(footer[32+2*KeySize : 32+2*KeySize+4])
 
+	// The footer offsets are not crc-covered: bound them by the file before
+	// sizing a buffer from them. Each comparison is overflow-free.
+	end := uint64(st.Size() - footerSize)
+	if indexOff > bloomOff || bloomOff > end || uint64(bloomLen) > end-bloomOff {
+		f.Close()
+		return nil, fmt.Errorf("telemetry: run %s footer offsets out of range", path)
+	}
 	metaLen := bloomOff + uint64(bloomLen) - indexOff
 	metaBuf := make([]byte, metaLen)
 	if _, err := f.ReadAt(metaBuf, int64(indexOff)); err != nil {

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -656,7 +658,8 @@ not json at all
 }
 
 // TestRunFileCorruptionDetected: a flipped byte in a data block fails the
-// block crc on read; a flipped index byte fails open.
+// block crc on read; a flipped index byte or out-of-range footer offsets
+// fail open.
 func TestRunFileCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{FlushBytes: 4 << 10, Shards: 2, NoCompact: true}
@@ -701,6 +704,33 @@ func TestRunFileCorruptionDetected(t *testing.T) {
 	os.WriteFile(runFile, mut, 0o644)
 	if _, err := Open(dir, opts); err == nil {
 		t.Fatal("open accepted corrupt index")
+	}
+
+	// Corrupt the footer's offsets, which no crc covers: open must return
+	// an error before sizing any buffer from them, never panic.
+	footer := len(raw) - footerSize
+	bloomOff := binary.LittleEndian.Uint64(raw[footer+12:])
+	bloomLen := binary.LittleEndian.Uint32(raw[footer+20:])
+	for _, c := range []struct {
+		name string
+		mut  func(f []byte)
+	}{
+		{"index past bloom end", func(f []byte) {
+			binary.LittleEndian.PutUint64(f[0:], bloomOff+uint64(bloomLen)+1)
+		}},
+		{"bloom past file end", func(f []byte) {
+			binary.LittleEndian.PutUint32(f[20:], uint32(len(raw)))
+		}},
+		{"bloom offset overflows", func(f []byte) {
+			binary.LittleEndian.PutUint64(f[12:], math.MaxUint64-uint64(bloomLen)/2)
+		}},
+	} {
+		mut = append([]byte(nil), raw...)
+		c.mut(mut[footer:])
+		os.WriteFile(runFile, mut, 0o644)
+		if _, err := Open(dir, opts); err == nil {
+			t.Fatalf("open accepted corrupt footer: %s", c.name)
+		}
 	}
 	os.WriteFile(runFile, raw, 0o644)
 }

@@ -18,6 +18,13 @@ import (
 // loops; fixed so tiling never depends on the worker count.
 const kcfGrain = 4096
 
+// spectrumPool recycles the filter's n×n patch and spectrum scratch;
+// samplePool recycles the raw patch samples extract reads before windowing.
+var (
+	spectrumPool parallel.SlicePool[complex128]
+	samplePool   parallel.SlicePool[float64]
+)
+
 // KCF is a single-scale kernelized correlation filter with raw-pixel
 // features, a cosine (Hann) window, Gaussian target labels, and Gaussian
 // kernel correlation computed in the Fourier domain — the classic
@@ -77,14 +84,14 @@ func NewKCF(size int) *KCF {
 }
 
 // extract pulls the windowed, zero-mean patch centered at (cx, cy) into a
-// pooled buffer the caller must release with parallel.PutC128. Sampling
+// pooled buffer the caller must release with spectrumPool.Put. Sampling
 // rows are independent and fan out; the mean is a serial ordered reduction,
 // so the patch is byte-identical for any worker count.
 func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 	n := k.Size
-	patch := parallel.GetC128(n * n)
+	patch := spectrumPool.Get(n * n)
 	half := float64(n) / 2
-	vals := parallel.GetF64(n * n)
+	vals := samplePool.Get(n * n)
 	parallel.ForRows(n, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < n; x++ {
@@ -102,16 +109,16 @@ func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 			patch[i] = complex((vals[i]-mean)*k.window[i], 0)
 		}
 	})
-	parallel.PutF64(vals)
+	samplePool.Put(vals)
 	return patch
 }
 
 // gaussianCorrelationF computes the Fourier transform of the Gaussian
 // kernel correlation between patches whose FFTs are xf and zf. The result
-// is a pooled buffer the caller must release with parallel.PutC128.
+// is a pooled buffer the caller must release with spectrumPool.Put.
 func (k *KCF) gaussianCorrelationF(xf, zf []complex128, xNorm, zNorm float64) []complex128 {
 	n := k.Size
-	prod := parallel.GetC128(n * n)
+	prod := spectrumPool.Get(n * n)
 	parallel.For(n*n, kcfGrain, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			// conj(xf)*zf — cross-correlation in Fourier domain.
@@ -121,7 +128,7 @@ func (k *KCF) gaussianCorrelationF(xf, zf []complex128, xNorm, zNorm float64) []
 	if err := mathx.FFT2D(prod, n, n, true); err != nil {
 		panic(err)
 	}
-	out := parallel.GetC128(n * n)
+	out := spectrumPool.Get(n * n)
 	norm := float64(n * n)
 	s2 := k.Sigma * k.Sigma
 	parallel.For(n*n, kcfGrain, func(i0, i1 int) {
@@ -133,7 +140,7 @@ func (k *KCF) gaussianCorrelationF(xf, zf []complex128, xNorm, zNorm float64) []
 			out[i] = complex(math.Exp(-d/s2), 0)
 		}
 	})
-	parallel.PutC128(prod)
+	spectrumPool.Put(prod)
 	if err := mathx.FFT2D(out, n, n, false); err != nil {
 		panic(err)
 	}
@@ -152,7 +159,7 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 	// not the scratch pools.
 	xf := make([]complex128, len(x))
 	copy(xf, x)
-	parallel.PutC128(x)
+	spectrumPool.Put(x)
 	if err := mathx.FFT2D(xf, n, n, false); err != nil {
 		panic(err)
 	}
@@ -167,7 +174,7 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 			alphaF[i] = k.yf[i] / (kf[i] + complex(k.Lambda, 0))
 		}
 	})
-	parallel.PutC128(kf)
+	spectrumPool.Put(kf)
 	k.cx, k.cy = cx, cy
 }
 
@@ -190,22 +197,22 @@ func (k *KCF) Update(im *vision.Image) Result {
 	for _, v := range z {
 		zNorm += real(v) * real(v)
 	}
-	zf := parallel.GetC128(len(z))
+	zf := spectrumPool.Get(len(z))
 	copy(zf, z)
-	parallel.PutC128(z)
+	spectrumPool.Put(z)
 	if err := mathx.FFT2D(zf, n, n, false); err != nil {
 		panic(err)
 	}
 	kzf := k.gaussianCorrelationF(k.xf, zf, k.xNorm, zNorm)
-	parallel.PutC128(zf)
-	resp := parallel.GetC128(len(kzf))
+	spectrumPool.Put(zf)
+	resp := spectrumPool.Get(len(kzf))
 	alphaF := k.alphaF
 	parallel.For(len(kzf), kcfGrain, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			resp[i] = kzf[i] * alphaF[i]
 		}
 	})
-	parallel.PutC128(kzf)
+	spectrumPool.Put(kzf)
 	if err := mathx.FFT2D(resp, n, n, true); err != nil {
 		panic(err)
 	}
@@ -230,7 +237,7 @@ func (k *KCF) Update(im *vision.Image) Result {
 	if den := at(bx, by-1) - 2*best + at(bx, by+1); den < -1e-12 {
 		dy += 0.5 * (at(bx, by-1) - at(bx, by+1)) / den
 	}
-	parallel.PutC128(resp)
+	spectrumPool.Put(resp)
 	if dx > float64(n)/2 {
 		dx -= float64(n)
 	}

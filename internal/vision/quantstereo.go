@@ -2,6 +2,10 @@ package vision
 
 import "sov/internal/parallel"
 
+// qcostPool recycles the per-tile int32 candidate-cost vectors of the
+// fixed-point matchers.
+var qcostPool parallel.SlicePool[int32]
+
 // Fixed-point stereo cost aggregation (DESIGN.md §8). The SAD search over
 // 8-bit codes accumulates in int32 — exact integer arithmetic, no clamping
 // branches on the interior fast path — and only the final sub-pixel parabola
@@ -47,7 +51,7 @@ func sadAtQ(left, right *QImage, x, y, d, half int) int32 {
 
 // matchPixelQ is the fixed-point matchPixel: best disparity in [dMin, dMax]
 // by int32 SAD with the same uniqueness check and sub-pixel parabola as the
-// float path. scratch holds per-candidate costs (borrow via parallel.GetI32).
+// float path. scratch holds per-candidate costs (borrow from qcostPool).
 //
 //sov:hotpath
 func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int32) float32 {
@@ -65,7 +69,7 @@ func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int3
 	bestD := -1
 	costs := scratch
 	if cap(costs) < dMax-dMin+1 {
-		//sovlint:ignore hotalloc fallback for nil scratch; the matchers pass pooled GetI32 buffers
+		//sovlint:ignore hotalloc fallback for nil scratch; the matchers pass qcostPool buffers
 		costs = make([]int32, dMax-dMin+1)
 	}
 	costs = costs[:dMax-dMin+1]
@@ -182,13 +186,13 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(left.H, sadRowBlock, func(y0, y1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
+		costs := qcostPool.Get(maxDisp + 1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
 			}
 		}
-		parallel.PutI32(costs)
+		qcostPool.Put(costs)
 	})
 }
 
@@ -224,7 +228,7 @@ func SupportPointsQuantInto(dst []SupportPoint, left, right *QImage, maxDisp, ha
 	buckets := make([][]SupportPoint, parallel.Tiles(nRows, 1))
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.ForTiled(nRows, 1, func(tile, r0, r1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
+		costs := qcostPool.Get(maxDisp + 1)
 		var rows []SupportPoint
 		for r := r0; r < r1; r++ {
 			y := half + r*stride
@@ -237,7 +241,7 @@ func SupportPointsQuantInto(dst []SupportPoint, left, right *QImage, maxDisp, ha
 			}
 		}
 		buckets[tile] = rows
-		parallel.PutI32(costs)
+		qcostPool.Put(costs)
 	})
 	for _, b := range buckets {
 		dst = append(dst, b...)
@@ -286,7 +290,7 @@ func SupportPointStereoQuantInto(m *DisparityMap, left, right *QImage, maxDisp, 
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(left.H, sadRowBlock, func(y0, y1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
+		costs := qcostPool.Get(maxDisp + 1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				prior := interpolatePrior(sps, x, y)
@@ -298,6 +302,6 @@ func SupportPointStereoQuantInto(m *DisparityMap, left, right *QImage, maxDisp, 
 				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, dMin, dMax, half, costs)
 			}
 		}
-		parallel.PutI32(costs)
+		qcostPool.Put(costs)
 	})
 }

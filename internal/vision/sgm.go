@@ -2,6 +2,10 @@ package vision
 
 import "sov/internal/parallel"
 
+// pathPool recycles the per-tile scanline path/prev cost rows of SGM
+// aggregation.
+var pathPool parallel.SlicePool[float32]
+
 // Semi-global matching: per-pixel absolute-difference costs aggregated along
 // four scanline directions with the classic P1/P2 smoothness penalties. It
 // fills weakly-textured regions better than window matching at ~the same
@@ -69,8 +73,8 @@ func SGM(left, right *Image, cfg SGMConfig) *DisparityMap {
 		// disjoint pixels; each worker carries its own path/prev scratch.
 		starts := scanStarts(w, h, dx, dy)
 		parallel.For(len(starts), 1, func(s0, s1 int) {
-			path := parallel.GetF32(nd)
-			prev := parallel.GetF32(nd)
+			path := pathPool.Get(nd)
+			prev := pathPool.Get(nd)
 			for si := s0; si < s1; si++ {
 				x, y := starts[si][0], starts[si][1]
 				for d := 0; d < nd; d++ {
@@ -108,8 +112,8 @@ func SGM(left, right *Image, cfg SGMConfig) *DisparityMap {
 					}
 				}
 			}
-			parallel.PutF32(prev)
-			parallel.PutF32(path)
+			pathPool.Put(prev)
+			pathPool.Put(path)
 		})
 	}
 	// Winner take all with texture gating, uniqueness, and sub-pixel

@@ -6,6 +6,10 @@ import (
 	"sov/internal/parallel"
 )
 
+// costPool recycles the per-tile candidate-cost vectors of the float
+// block matchers.
+var costPool parallel.SlicePool[float64]
+
 // DisparityMap is a dense per-pixel disparity image; invalid pixels are
 // negative.
 type DisparityMap struct {
@@ -106,13 +110,13 @@ func matchPixel(left, right *Image, x, y, dMin, dMax, half int, scratch []float6
 func BlockMatch(left, right *Image, maxDisp, half int) *DisparityMap {
 	m := &DisparityMap{W: left.W, H: left.H, D: make([]float32, left.W*left.H)}
 	parallel.ForRows(left.H, func(y0, y1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := costPool.Get(maxDisp + 1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				m.D[y*m.W+x] = matchPixel(left, right, x, y, 0, maxDisp, half, costs)
 			}
 		}
-		parallel.PutF64(costs)
+		costPool.Put(costs)
 	})
 	return m
 }
@@ -136,7 +140,7 @@ func SupportPoints(left, right *Image, maxDisp, half, stride int) []SupportPoint
 	}
 	buckets := make([][]SupportPoint, parallel.Tiles(nRows, 1))
 	parallel.ForTiled(nRows, 1, func(tile, r0, r1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := costPool.Get(maxDisp + 1)
 		var rows []SupportPoint
 		for r := r0; r < r1; r++ {
 			y := half + r*stride
@@ -148,7 +152,7 @@ func SupportPoints(left, right *Image, maxDisp, half, stride int) []SupportPoint
 			}
 		}
 		buckets[tile] = rows
-		parallel.PutF64(costs)
+		costPool.Put(costs)
 	})
 	var out []SupportPoint
 	for _, b := range buckets {
@@ -171,7 +175,7 @@ func SupportPointStereo(left, right *Image, maxDisp, half, stride, band int) *Di
 		return m
 	}
 	parallel.ForRows(left.H, func(y0, y1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := costPool.Get(maxDisp + 1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				prior := interpolatePrior(sps, x, y)
@@ -183,7 +187,7 @@ func SupportPointStereo(left, right *Image, maxDisp, half, stride, band int) *Di
 				m.D[y*m.W+x] = matchPixel(left, right, x, y, dMin, dMax, half, costs)
 			}
 		}
-		parallel.PutF64(costs)
+		costPool.Put(costs)
 	})
 	return m
 }

@@ -13,6 +13,7 @@ import (
 
 	"sov/internal/core"
 	"sov/internal/obs"
+	"sov/internal/parallel"
 )
 
 // benchCruise runs one fixed-horizon characterization cruise. Each op spans
@@ -80,24 +81,31 @@ func measureSteadyStateAllocs(pipelined, instrumented, sched bool) float64 {
 // steady-state record paths (counters, histogram bins, buffered spans, the
 // flight-recorder ring) must add ~0 allocs/cycle. The sched variants hold
 // the online scheduler to it as well: BeginCycle/Observe/decide work
-// entirely in preallocated candidate tables.
+// entirely in preallocated candidate tables. Every mode runs at 1 and 4
+// workers, so the multi-worker regime is gated on any host, 1-CPU
+// included.
 func TestControlLoopSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []struct {
-		name         string
-		pipelined    bool
-		instrumented bool
-		sched        bool
-	}{
-		{"serial", false, false, false},
-		{"pipelined", true, false, false},
-		{"serial+obs", false, true, false},
-		{"pipelined+obs", true, true, false},
-		{"serial+sched", false, false, true},
-		{"pipelined+obs+sched", true, true, true},
-	} {
-		if got := measureSteadyStateAllocs(mode.pipelined, mode.instrumented, mode.sched); got > 2 {
-			t.Errorf("%s control loop allocates %.2f allocs/cycle in steady state, want < 2",
-				mode.name, got)
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		for _, mode := range []struct {
+			name         string
+			pipelined    bool
+			instrumented bool
+			sched        bool
+		}{
+			{"serial", false, false, false},
+			{"pipelined", true, false, false},
+			{"serial+obs", false, true, false},
+			{"pipelined+obs", true, true, false},
+			{"serial+sched", false, false, true},
+			{"pipelined+obs+sched", true, true, true},
+		} {
+			if got := measureSteadyStateAllocs(mode.pipelined, mode.instrumented, mode.sched); got > 2 {
+				t.Errorf("%s control loop at %d workers allocates %.2f allocs/cycle in steady state, want < 2",
+					mode.name, workers, got)
+			}
 		}
 	}
 }
