@@ -45,15 +45,13 @@ const (
 	gemmColBlock = 32
 )
 
-// gemmState is QConv2D's GEMM backend: construction-time weight panels plus
-// the serial path's reusable im2col scratch.
+// gemmState is QConv2D's GEMM backend: the construction-time weight panels.
+// A panels and Σu rows are per-tile scratch from the pools.
 type gemmState struct {
 	np   int      // pair words per kd-length dot product
 	mpad int      // OutC rounded up to the 4-row panel height
 	b    []uint64 // packed B panels, [mpad/4] panels of [np][4] words
 	rowC []int64  // per-channel pair-dot constant (swarRowConst)
-	abuf []uint64 // serial A-panel scratch (grown on first use)
-	sbuf []int32  // serial Σu scratch (grown on first use)
 }
 
 // gemmEligible reports whether the layer shape ever dispatches to GEMM.
@@ -108,33 +106,25 @@ func (c *QConv2D) initGEMM() {
 //sov:hotpath
 func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 	c.packInput(in)
-	p := oh * ow
-	nblk := ceilDiv(p, gemmColBlock)
-	apn := c.gemm.np * gemmColBlock
-	if parallel.Workers() <= 1 {
-		if cap(c.gemm.abuf) < apn {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the A panel
-			c.gemm.abuf = make([]uint64, apn)
-		}
-		if cap(c.gemm.sbuf) < gemmColBlock {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the column-sum row
-			c.gemm.sbuf = make([]int32, gemmColBlock)
-		}
-		for blk := 0; blk < nblk; blk++ {
-			c.gemmBlock(out, in.H, in.W, ow, p, blk*gemmColBlock, c.gemm.abuf[:apn], c.gemm.sbuf[:gemmColBlock])
-		}
-		return
+	c.fan = fanArgs{in: in, out: out, oh: oh, ow: ow}
+	parallel.For(ceilDiv(oh*ow, gemmColBlock), 1, c.blockFn)
+	c.fan = fanArgs{}
+}
+
+// blockRange is the GEMM fan-out body: column blocks [b0, b1) of the call
+// staged in c.fan, over one pooled A panel and Σu row.
+//
+//sov:hotpath
+func (c *QConv2D) blockRange(b0, b1 int) {
+	a := &c.fan
+	p := a.oh * a.ow
+	ap := laneWords.Get(c.gemm.np * gemmColBlock)
+	su := accRows.Get(gemmColBlock)
+	for blk := b0; blk < b1; blk++ {
+		c.gemmBlock(a.out, a.in.H, a.in.W, a.ow, p, blk*gemmColBlock, ap, su)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(nblk, 1, func(b0, b1 int) {
-		ap := laneWords.Get(apn)
-		su := accRows.Get(gemmColBlock)
-		for blk := b0; blk < b1; blk++ {
-			c.gemmBlock(out, in.H, in.W, ow, p, blk*gemmColBlock, ap, su)
-		}
-		accRows.Put(su)
-		laneWords.Put(ap)
-	})
+	accRows.Put(su)
+	laneWords.Put(ap)
 }
 
 // gemmBlock packs one im2col column block and multiplies it against every

@@ -23,6 +23,18 @@ type QLayer interface {
 // ceilDiv returns ceil(a/b) for non-negative a, positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// fanArgs are the operands of a layer's current forward call, staged for
+// its fan-out body. Each layer binds that body once per instance (a method
+// value, set by its constructor and by ShareClone), so a warm forward
+// builds no closure at any worker count; ForwardInto fills fanArgs before
+// the fan-out and clears it after (DESIGN.md §10).
+type fanArgs struct {
+	in, out *QTensor
+	oh, ow  int
+	swar    bool  // QConv2D direct path: SWAR interior enabled
+	sumU    int64 // QFC: Σu of the packed input row
+}
+
 // QConv2D is the fused int8 convolution: conv + bias + ReLU + requantize in
 // one pass. Interior output pixels (full receptive field) accumulate with a
 // zero-point-folded bias over a branch-free inner loop; border pixels take
@@ -42,9 +54,6 @@ type QConv2D struct {
 	ReLU       bool
 	rq         requant
 	zeroIn     int32
-	// scratch is the serial path's int32 accumulator row (grown on first
-	// use, reused forever); parallel workers borrow theirs from the pools.
-	scratch []int32
 	// swarFold is foldedBias − 128·Σw per output channel: the constant that
 	// rebases the SWAR interior's biased-domain accumulation (swar.go).
 	swarFold []int32
@@ -54,6 +63,11 @@ type QConv2D struct {
 	// gemm is the im2col GEMM backend (gemm.go), built at construction for
 	// eligible shapes.
 	gemm gemmState
+	// fan stages the current call for the bound fan-out bodies: channelFn
+	// (direct path, c.channelRange) and blockFn (GEMM, c.blockRange).
+	fan       fanArgs
+	channelFn func(o0, o1 int)
+	blockFn   func(b0, b1 int)
 }
 
 // NewQConv2D quantizes a float convolution for the given input/output
@@ -80,7 +94,15 @@ func NewQConv2D(c *Conv2D, in, out QuantParams) *QConv2D {
 	}
 	q.rq = newRequant(float64(accScale)/float64(out.Scale), out.Zero, c.ReLU)
 	q.initGEMM()
+	q.bind()
 	return q
+}
+
+// bind points the fan-out bodies at this instance. A copied layer must
+// rebind: the copy's method values would still run on the original.
+func (c *QConv2D) bind() {
+	c.channelFn = c.channelRange
+	c.blockFn = c.blockRange
 }
 
 // packInput rewrites the input tensor as biased bytes into c.ubuf (the SWAR
@@ -144,25 +166,23 @@ func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	if swar {
 		c.packInput(in)
 	}
-	if parallel.Workers() <= 1 {
-		if n := oxHi - oxLo; cap(c.scratch) < n {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the accumulator row
-			c.scratch = make([]int32, n)
-		}
-		for o := 0; o < oc; o++ {
-			c.forwardChannel(in, out, o, oh, ow, swar, c.scratch)
-		}
-		return
+	c.fan = fanArgs{in: in, out: out, oh: oh, ow: ow, swar: swar}
+	parallel.For(oc, 1, c.channelFn)
+	c.fan = fanArgs{}
+}
+
+// channelRange is the direct path's fan-out body: output channels
+// [o0, o1) of the call staged in c.fan, over one pooled accumulator row.
+//
+//sov:hotpath
+func (c *QConv2D) channelRange(o0, o1 int) {
+	a := &c.fan
+	oxLo, oxHi := c.interior(a.in.W, a.ow)
+	acc := accRows.Get(oxHi - oxLo)
+	for o := o0; o < o1; o++ {
+		c.forwardChannel(a.in, a.out, o, a.oh, a.ow, a.swar, acc)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(oc, 1, func(o0, o1 int) {
-		oxLo, oxHi := c.interior(in.W, ow)
-		acc := accRows.Get(oxHi - oxLo)
-		for o := o0; o < o1; o++ {
-			c.forwardChannel(in, out, o, oh, ow, swar, acc)
-		}
-		accRows.Put(acc)
-	})
+	accRows.Put(acc)
 }
 
 // interior returns the [oxLo, oxHi) output-column range whose full K-wide
@@ -367,39 +387,50 @@ func (c *QConv2D) accEdge(in *QTensor, wBase, iy0, ix0 int) int32 {
 
 // QMaxPool2 is the 2×2 stride-2 max pool over int8 codes. Quantization is
 // monotonic, so pooling codes equals pooling real values; parameters pass
-// through unchanged and the kernel is exact.
+// through unchanged and the kernel is exact. Build it with NewQMaxPool2,
+// which binds the fan-out body.
 type QMaxPool2 struct {
-	P QuantParams
+	P   QuantParams
+	fan fanArgs
+	fn  func(c0, c1 int) // p.channelRange, bound once
+}
+
+// NewQMaxPool2 returns a max-pool layer whose parameters pass through as p.
+func NewQMaxPool2(p QuantParams) *QMaxPool2 {
+	q := &QMaxPool2{P: p}
+	q.fn = q.channelRange
+	return q
 }
 
 // Name implements QLayer.
-func (QMaxPool2) Name() string { return "qmaxpool2" }
+func (*QMaxPool2) Name() string { return "qmaxpool2" }
 
 // OutShape implements QLayer.
-func (QMaxPool2) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 2 }
+func (*QMaxPool2) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 2 }
 
 // OutParams implements QLayer.
-func (p QMaxPool2) OutParams() QuantParams { return p.P }
+func (p *QMaxPool2) OutParams() QuantParams { return p.P }
 
 // ForwardInto implements QLayer.
 //
 //sov:hotpath
-func (p QMaxPool2) ForwardInto(in, out *QTensor) {
+func (p *QMaxPool2) ForwardInto(in, out *QTensor) {
 	if out.C != in.C || out.H != in.H/2 || out.W != in.W/2 {
 		panic(fmt.Sprintf("nn: qpool output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, in.C, in.H/2, in.W/2))
 	}
-	if parallel.Workers() <= 1 {
-		for c := 0; c < in.C; c++ {
-			qpoolChannel(in, out, c)
-		}
-		return
+	p.fan = fanArgs{in: in, out: out}
+	parallel.For(in.C, 1, p.fn)
+	p.fan = fanArgs{}
+}
+
+// channelRange is the fan-out body: channels [c0, c1) of the call staged
+// in p.fan.
+//
+//sov:hotpath
+func (p *QMaxPool2) channelRange(c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		qpoolChannel(p.fan.in, p.fan.out, c)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(in.C, 1, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			qpoolChannel(in, out, c)
-		}
-	})
 }
 
 // qpoolChannel max-pools one channel of int8 codes.
@@ -427,40 +458,53 @@ func qpoolChannel(in, out *QTensor, c int) {
 }
 
 // QGlobalAvgPool averages each channel in the integer domain (rounded
-// division by the pixel count); parameters pass through unchanged.
+// division by the pixel count); parameters pass through unchanged. Build it
+// with NewQGlobalAvgPool, which binds the fan-out body.
 type QGlobalAvgPool struct {
-	P QuantParams
+	P   QuantParams
+	fan fanArgs
+	fn  func(c0, c1 int) // p.channelRange, bound once
+}
+
+// NewQGlobalAvgPool returns a global-average-pool layer whose parameters
+// pass through as p.
+func NewQGlobalAvgPool(p QuantParams) *QGlobalAvgPool {
+	q := &QGlobalAvgPool{P: p}
+	q.fn = q.channelRange
+	return q
 }
 
 // Name implements QLayer.
-func (QGlobalAvgPool) Name() string { return "qgap" }
+func (*QGlobalAvgPool) Name() string { return "qgap" }
 
 // OutShape implements QLayer.
-func (QGlobalAvgPool) OutShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
+func (*QGlobalAvgPool) OutShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
 
 // OutParams implements QLayer.
-func (p QGlobalAvgPool) OutParams() QuantParams { return p.P }
+func (p *QGlobalAvgPool) OutParams() QuantParams { return p.P }
 
 // ForwardInto implements QLayer.
 //
 //sov:hotpath
-func (p QGlobalAvgPool) ForwardInto(in, out *QTensor) {
+func (p *QGlobalAvgPool) ForwardInto(in, out *QTensor) {
 	if out.C != in.C || out.H != 1 || out.W != 1 {
 		panic(fmt.Sprintf("nn: qgap output shape %dx%dx%d != %dx1x1", out.C, out.H, out.W, in.C))
 	}
+	p.fan = fanArgs{in: in, out: out}
+	parallel.For(in.C, 4, p.fn)
+	p.fan = fanArgs{}
+}
+
+// channelRange is the fan-out body: channels [c0, c1) of the call staged
+// in p.fan.
+//
+//sov:hotpath
+func (p *QGlobalAvgPool) channelRange(c0, c1 int) {
+	in, out := p.fan.in, p.fan.out
 	n := int32(in.H * in.W)
-	if parallel.Workers() <= 1 {
-		for c := 0; c < in.C; c++ {
-			out.Data[c] = qgapChannel(in, c, n)
-		}
-		return
+	for c := c0; c < c1; c++ {
+		out.Data[c] = qgapChannel(in, c, n)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(in.C, 4, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			out.Data[c] = qgapChannel(in, c, n)
-		}
-	})
 }
 
 // qgapChannel sums one channel and divides with round-half-away-from-zero.
@@ -496,9 +540,12 @@ type QFC struct {
 	np       int
 	wpack    []uint64
 	rowConst []int64
-	// xpack holds the serial path's packed input pairs (grown on first use,
-	// reused forever); parallel callers borrow theirs from the pools.
+	// xpack holds the packed input pairs (grown on first use, reused
+	// forever), read by every tile of the fan-out.
 	xpack []uint64
+	// fan stages the current call for quadFn (f.quadRange, bound once).
+	fan    fanArgs
+	quadFn func(q0, q1 int)
 }
 
 // NewQFC quantizes a float FC layer for the given activation quantizations.
@@ -522,6 +569,7 @@ func NewQFC(f *FC, in, out QuantParams) *QFC {
 		q.rowConst[o] = swarRowConst(q.foldedBias[o], wsumB, q.np)
 	}
 	q.rq = newRequant(float64(accScale)/float64(out.Scale), out.Zero, f.ReLU)
+	q.quadFn = q.quadRange
 	return q
 }
 
@@ -548,30 +596,28 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 	if len(out.Data) != f.Out {
 		panic(fmt.Sprintf("nn: qfc output %d != %d", len(out.Data), f.Out))
 	}
-	quads := f.Out / 4
-	if parallel.Workers() <= 1 {
-		if cap(f.xpack) < f.np {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
-			f.xpack = make([]uint64, f.np)
-		}
-		xp := f.xpack[:f.np]
-		sumU := packPairsInto(xp, in.Data)
-		for q := 0; q < quads; q++ {
-			f.swarRowQuad(xp, sumU, 4*q, out.Data)
-		}
-		f.swarTail(xp, sumU, 4*quads, out.Data)
-		return
+	if cap(f.xpack) < f.np {
+		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
+		f.xpack = make([]uint64, f.np)
 	}
-	xp := laneWords.Get(f.np)
+	xp := f.xpack[:f.np]
 	sumU := packPairsInto(xp, in.Data)
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(quads, 4, func(q0, q1 int) {
-		for q := q0; q < q1; q++ {
-			f.swarRowQuad(xp, sumU, 4*q, out.Data)
-		}
-	})
+	quads := f.Out / 4
+	f.fan = fanArgs{out: out, sumU: sumU}
+	parallel.For(quads, 4, f.quadFn)
+	f.fan = fanArgs{}
 	f.swarTail(xp, sumU, 4*quads, out.Data)
-	laneWords.Put(xp)
+}
+
+// quadRange is the fan-out body: output quads [q0, q1) of the call staged
+// in f.fan, against the packed input row in f.xpack.
+//
+//sov:hotpath
+func (f *QFC) quadRange(q0, q1 int) {
+	xp := f.xpack[:f.np]
+	for q := q0; q < q1; q++ {
+		f.swarRowQuad(xp, f.fan.sumU, 4*q, f.fan.out.Data)
+	}
 }
 
 // swarTail finishes the ≤3 output rows left over by the quad sweep.
@@ -685,9 +731,9 @@ func QuantizeNetwork(net *Network, calib *Tensor) *QNetwork {
 			qn.Layers = append(qn.Layers, NewQFC(t, cur, op))
 			cur = op
 		case MaxPool2:
-			qn.Layers = append(qn.Layers, QMaxPool2{P: cur})
+			qn.Layers = append(qn.Layers, NewQMaxPool2(cur))
 		case GlobalAvgPool:
-			qn.Layers = append(qn.Layers, QGlobalAvgPool{P: cur})
+			qn.Layers = append(qn.Layers, NewQGlobalAvgPool(cur))
 		default:
 			panic("nn: cannot quantize layer " + l.Name())
 		}

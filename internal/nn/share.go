@@ -4,41 +4,46 @@ import "fmt"
 
 // Cross-instance weight sharing (DESIGN.md §11). A fleet shard runs the
 // same quantized detector for every vehicle it owns, but the quantized
-// layers carry per-instance scratch (the serial-path accumulator rows,
-// biased-byte input buffers, GEMM A panels, and FC input packs) that makes
+// layers carry per-instance mutable state (biased-byte input buffers, FC
+// input packs, and the staged operands of the current fan-out) that makes
 // one model unsafe to forward from two goroutines at once. ShareClone
 // splits the two concerns: the clone aliases every read-only tensor — int8
 // weights, folded biases, SWAR constants, packed GEMM B panels, FC pair
-// words, the sigmoid LUT — and zeroes only the mutable scratch, which
-// regrows privately on the clone's first forward. N shards therefore pay
-// one copy of the weight panels (they stay cache-resident across the whole
-// fleet batch) plus N small scratch sets.
+// words, the sigmoid LUT — and gets its own mutable state: scratch that
+// regrows privately on the clone's first forward, and fan-out bodies bound
+// to the clone itself. (A copied method value would keep running on the
+// original's staged operands: a data race that computes from the wrong
+// tensors.) N shards therefore pay one copy of the weight panels (they
+// stay cache-resident across the whole fleet batch) plus N small scratch
+// sets.
 
 // ShareClone returns a QConv2D that shares the receiver's weights, biases,
 // requantization constants, and packed GEMM B panels, with private scratch
-// buffers. Safe to forward concurrently with the original.
+// and fan-out state. Safe to forward concurrently with the original.
 func (c *QConv2D) ShareClone() *QConv2D {
 	cp := *c
-	cp.scratch = nil
 	cp.ubuf = nil
-	cp.gemm.abuf = nil
-	cp.gemm.sbuf = nil
+	cp.fan = fanArgs{}
+	cp.bind()
 	return &cp
 }
 
 // ShareClone returns a QFC that shares the receiver's weights and packed
-// pair words, with a private input-pack buffer. Safe to forward
-// concurrently with the original.
+// pair words, with a private input-pack buffer and fan-out state. Safe to
+// forward concurrently with the original.
 func (f *QFC) ShareClone() *QFC {
 	cp := *f
 	cp.xpack = nil
+	cp.fan = fanArgs{}
+	cp.quadFn = cp.quadRange
 	return &cp
 }
 
-// ShareClone returns a QNetwork whose weight-bearing layers are
-// ShareClones of the receiver's and whose stateless layers are shared
-// as-is. Unknown layer types panic: silently sharing a layer with hidden
-// mutable state would be a data race, not a fallback.
+// ShareClone returns a QNetwork whose layers are ShareClones of the
+// receiver's: weight-bearing layers alias their weights, and every layer —
+// the pooling layers included — gets its own fan-out state. Unknown layer
+// types panic: silently sharing a layer with hidden mutable state would be
+// a data race, not a fallback.
 func (n *QNetwork) ShareClone() *QNetwork {
 	out := &QNetwork{Layers: make([]QLayer, len(n.Layers)), InParams: n.InParams}
 	for i, l := range n.Layers {
@@ -47,8 +52,10 @@ func (n *QNetwork) ShareClone() *QNetwork {
 			out.Layers[i] = t.ShareClone()
 		case *QFC:
 			out.Layers[i] = t.ShareClone()
-		case QMaxPool2, QGlobalAvgPool:
-			out.Layers[i] = l
+		case *QMaxPool2:
+			out.Layers[i] = NewQMaxPool2(t.P)
+		case *QGlobalAvgPool:
+			out.Layers[i] = NewQGlobalAvgPool(t.P)
 		default:
 			panic(fmt.Sprintf("nn: cannot share-clone layer %s", l.Name()))
 		}

@@ -21,8 +21,8 @@ const (
 
 // replayGEMMStream drives one full forwardGEMM's worth of accesses with
 // column block width nc through the cache model. Regions are spaced so they
-// never alias: ubuf (biased input bytes), abuf (the reused A-panel
-// scratch), the packed B panels, and the int8 output plane.
+// never alias: ubuf (biased input bytes), the reused A-panel scratch, the
+// packed B panels, and the int8 output plane.
 func replayGEMMStream(c *cachesim.Cache, nc int) {
 	const (
 		ubase int64 = 0

@@ -19,10 +19,23 @@
 // There is no data-dependent floating-point reassociation anywhere: a
 // kernel either computes each output element with the same serial
 // instruction stream as before, or reduces tile partials in a fixed order.
+//
+// Allocation. A parallel fan-out keeps its shared state — body, tile
+// geometry, claim and completion counters — in a job descriptor taken from
+// a package free list, and the pool queue carries *job, so For and ForTiled
+// build no closure of their own. A job returns to the free list only when
+// its last holder lets go: the submitter plus every helper it queued, each
+// holding one reference. A queued helper can start after its fan-out has
+// finished; its reference keeps the job from being recycled into an
+// unrelated fan-out under it. A caller that passes a body bound once (a
+// method value or a package-level func, not a capturing closure) therefore
+// fans out with no allocation once warm. Do still takes its functions as a
+// variadic slice, which allocates when the call goes parallel.
 package parallel
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -54,7 +67,7 @@ func SetWorkers(n int) int {
 // a submitting goroutine never blocks on the queue and always processes
 // tiles itself, so a saturated pool (e.g. nested parallelism) degrades to
 // caller-runs-everything instead of deadlocking.
-var tasks chan func()
+var tasks chan *job
 
 var poolStarted atomic.Bool
 
@@ -72,12 +85,12 @@ func ensurePool() {
 		n = 4
 	}
 	//sovlint:ignore hotalloc one-time pool bring-up behind the CAS; never runs again after the first fan-out
-	tasks = make(chan func(), 8*n)
+	tasks = make(chan *job, 8*n)
 	for i := 0; i < n; i++ {
 		//sovlint:ignore hotalloc one-time pool bring-up behind the CAS; never runs again after the first fan-out
 		go func() {
-			for f := range tasks {
-				f()
+			for j := range tasks {
+				j.help()
 			}
 		}()
 	}
@@ -115,58 +128,143 @@ func CounterSnapshot() Counters {
 	}
 }
 
-// run executes task(0..count-1), each exactly once, using up to `helpers`
-// pool goroutines plus the calling goroutine. While waiting for stragglers
-// the caller drains the shared queue, so nested calls cannot deadlock.
-func run(count, helpers int, task func(i int)) {
-	var claimed, completed int64
+// job is one fan-out's shared state (see the package doc's Allocation
+// paragraph). Exactly one of span, tiled and fs is set.
+type job struct {
+	span     func(start, end int)       // For
+	tiled    func(tile, start, end int) // ForTiled
+	fs       []func()                   // Do
+	n, grain int
+	count    int64
+	// claimed hands out tile indices; completed counts finished tiles, and
+	// the submitter returns once it reaches count.
+	claimed, completed atomic.Int64
+	// refs counts the job's holders: the submitter plus every helper it
+	// queued. The last one to leave returns the job to the free list.
+	refs atomic.Int32
+	next *job // free-list link
+}
+
+// jobs is the free list of idle job descriptors.
+var jobs struct {
+	mu   sync.Mutex
+	head *job
+}
+
+// getJob pops an idle job (or allocates one on a free-list miss).
+func getJob() *job {
+	jobs.mu.Lock()
+	j := jobs.head
+	if j != nil {
+		jobs.head = j.next
+		j.next = nil
+	}
+	jobs.mu.Unlock()
+	if j == nil {
+		//sovlint:ignore hotalloc free-list miss; the list grows to the most fan-outs ever live at once and is reused from then on
+		j = new(job)
+	}
+	return j
+}
+
+// release drops one holder's reference. The last holder clears the body
+// (so an idle job pins no caller state) and pushes the job on the free
+// list.
+func (j *job) release() {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.span, j.tiled, j.fs = nil, nil, nil
+	jobs.mu.Lock()
+	j.next = jobs.head
+	jobs.head = j
+	jobs.mu.Unlock()
+}
+
+// exec runs tile i of the job.
+func (j *job) exec(i int) {
+	if j.fs != nil {
+		j.fs[i]()
+		return
+	}
+	start := i * j.grain
+	end := min(start+j.grain, j.n)
+	if j.tiled != nil {
+		j.tiled(i, start, end)
+		return
+	}
+	j.span(start, end)
+}
+
+// claim runs tiles until none is left to claim. pool marks tiles claimed
+// through the shared queue (the PoolTiles counter).
+func (j *job) claim(pool bool) {
+	for {
+		i := j.claimed.Add(1) - 1
+		if i >= j.count {
+			return
+		}
+		j.exec(int(i))
+		if pool {
+			statPoolTiles.Add(1)
+		}
+		j.completed.Add(1)
+	}
+}
+
+// help is a queued helper's turn at the job: claim what is left, then let
+// go. A helper that starts after its fan-out has finished claims nothing.
+func (j *job) help() {
+	j.claim(true)
+	j.release()
+}
+
+// run executes the job's count tiles, each exactly once, using up to
+// `helpers` pool goroutines plus the calling goroutine. While waiting for
+// stragglers the caller drains the shared queue, so nested calls cannot
+// deadlock. The job comes from getJob with its body and geometry set. run
+// takes one reference for the caller and one per queued helper; the job
+// goes back to the free list when the last of them releases it, so a
+// helper still queued after the fan-out ends never claims from a job that
+// was recycled into another fan-out.
+func run(j *job, count, helpers int) {
 	statRuns.Add(1)
 	statTiles.Add(int64(count))
+	j.count = int64(count)
+	j.claimed.Store(0)
+	j.completed.Store(0)
+	j.refs.Store(1)
 	if helpers > count-1 {
 		helpers = count - 1
 	}
 	if helpers > 0 {
 		ensurePool()
-		//sovlint:ignore hotalloc one work-stealing loop closure per fan-out; the cost is the contract of going parallel at all
-		loop := func() {
-			for {
-				i := atomic.AddInt64(&claimed, 1) - 1
-				if i >= int64(count) {
-					return
-				}
-				task(int(i))
-				statPoolTiles.Add(1)
-				atomic.AddInt64(&completed, 1)
-			}
-		}
 	submit:
 		for i := 0; i < helpers; i++ {
+			// Take the helper's reference before the send: the helper may
+			// finish and release before the select returns.
+			j.refs.Add(1)
 			select {
-			case tasks <- loop:
+			case tasks <- j:
 			default:
+				j.refs.Add(-1)
 				break submit // pool saturated: caller handles the rest
 			}
 		}
 	}
 	// The caller claims tiles inline until the queue is exhausted (same
-	// claim protocol as the pool loop, without the pool-tile accounting).
-	for {
-		i := atomic.AddInt64(&claimed, 1) - 1
-		if i >= int64(count) {
-			break
-		}
-		task(int(i))
-		atomic.AddInt64(&completed, 1)
-	}
-	for atomic.LoadInt64(&completed) < int64(count) {
+	// claim protocol as the pool helpers, without the pool-tile accounting).
+	j.claim(false)
+	for j.completed.Load() < j.count {
 		// Help with whatever is queued instead of blocking a pool slot.
 		select {
-		case f := <-tasks:
-			f()
+		case o := <-tasks:
+			o.help()
 		default:
 			runtime.Gosched()
 		}
 	}
+	j.release()
 }
 
 // Tiles returns the tile count For/ForTiled use for n elements at the given
@@ -198,15 +296,9 @@ func For(n, grain int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	//sovlint:ignore hotalloc one tile-mapping closure per fan-out; the cost is the contract of going parallel at all
-	run(tiles, w-1, func(t int) {
-		start := t * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		fn(start, end)
-	})
+	j := getJob()
+	j.span, j.n, j.grain = fn, n, grain
+	run(j, tiles, w-1)
 }
 
 // ForRows runs fn over the row range [0, h) one row per tile — the common
@@ -226,22 +318,16 @@ func ForTiled(n, grain int, fn func(tile, start, end int)) {
 		grain = 1
 	}
 	tiles := Tiles(n, grain)
-	body := func(t int) {
-		start := t * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		fn(t, start, end)
-	}
 	w := Workers()
 	if w <= 1 || tiles <= 1 {
 		for t := 0; t < tiles; t++ {
-			body(t)
+			fn(t, t*grain, min(t*grain+grain, n))
 		}
 		return
 	}
-	run(tiles, w-1, body)
+	j := getJob()
+	j.tiled, j.n, j.grain = fn, n, grain
+	run(j, tiles, w-1)
 }
 
 // Do runs the given functions, possibly concurrently, and returns when all
@@ -262,5 +348,7 @@ func Do(fs ...func()) {
 	if w > len(fs) {
 		w = len(fs)
 	}
-	run(len(fs), w-1, func(i int) { fs[i]() })
+	j := getJob()
+	j.fs = fs
+	run(j, len(fs), w-1)
 }

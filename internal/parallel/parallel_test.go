@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -145,6 +146,83 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 		})
 		if total != 16*64 {
 			t.Fatalf("nested total = %d, want %d", total, 16*64)
+		}
+	})
+}
+
+// spanSink is a fan-out body bound once, as method values: the shape the
+// quantized nn layers and the fleet epoch loop use.
+type spanSink struct{ hits []int32 }
+
+func (s *spanSink) span(start, end int) {
+	for i := start; i < end; i++ {
+		atomic.AddInt32(&s.hits[i], 1)
+	}
+}
+
+func (s *spanSink) tile(_, start, end int) { s.span(start, end) }
+
+// TestBoundBodyFanOutZeroAlloc pins the substrate's half of the zero-alloc
+// contract on any host: with a body bound once, a warm For or ForTiled
+// allocates nothing per call, on the serial path and on the parallel path
+// (job descriptors come from the free list, not the heap).
+func TestBoundBodyFanOutZeroAlloc(t *testing.T) {
+	const n, grain, calls = 1024, 64, 50
+	for _, w := range []int{1, 4} {
+		withWorkers(t, w, func() {
+			s := &spanSink{hits: make([]int32, n)}
+			span, tile := s.span, s.tile
+			call := func() {
+				For(n, grain, span)
+				ForTiled(n, grain, tile)
+			}
+			call() // warm the job free list
+			c0 := CounterSnapshot()
+			if avg := testing.AllocsPerRun(calls, call); avg != 0 {
+				t.Fatalf("workers=%d: warm For+ForTiled with bound bodies allocates %.2f times per call, want 0", w, avg)
+			}
+			// AllocsPerRun makes one extra warm-up call.
+			if runs := CounterSnapshot().Runs - c0.Runs; w > 1 && runs != 2*(calls+1) {
+				t.Fatalf("workers=%d: %d parallel fan-outs, want %d (the parallel path was not measured)", w, runs, 2*(calls+1))
+			}
+			for i, h := range s.hits {
+				if h != 2*(calls+2) {
+					t.Fatalf("workers=%d: index %d visited %d times, want %d", w, i, h, 2*(calls+2))
+				}
+			}
+		})
+	}
+}
+
+// TestRecycledJobsNeverCrossFanOuts churns short fan-outs from several
+// goroutines so job descriptors recycle constantly. A queued helper may
+// start after its fan-out finished; if its job were recycled under it, its
+// claim would interleave with the next fan-out's set-up on the same job
+// (a data race under -race) and could run tiles against a half-set job,
+// so some index would be visited twice or never.
+func TestRecycledJobsNeverCrossFanOuts(t *testing.T) {
+	withWorkers(t, 4, func() {
+		const submitters, rounds, n = 4, 300, 8
+		done := make(chan string, submitters)
+		for g := 0; g < submitters; g++ {
+			go func() {
+				s := &spanSink{hits: make([]int32, n)}
+				for r := 1; r <= rounds; r++ {
+					For(n, 1, s.span)
+					for i, h := range s.hits {
+						if h != int32(r) {
+							done <- fmt.Sprintf("round %d: index %d visited %d times, want %d", r, i, h, r)
+							return
+						}
+					}
+				}
+				done <- ""
+			}()
+		}
+		for g := 0; g < submitters; g++ {
+			if msg := <-done; msg != "" {
+				t.Fatal(msg)
+			}
 		}
 	})
 }
